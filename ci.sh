@@ -16,8 +16,8 @@
 #                    # emits a schema-checked BENCH json and asserts the
 #                    # Figure 6 shape orderings
 #   ./ci.sh shard    # sharded-fleet tier (<60s): fleet + sharded tuple
-#                    # integration tests, then a 2-shard farm smoke run
-#                    # whose merged per-shard trace must audit clean
+#                    # integration tests, then the traced 2-shard farm
+#                    # test whose merged per-shard trace must audit clean
 #   ./ci.sh io       # reactor-backend matrix: the net/io integration
 #                    # suites forced onto epoll and then io_uring via
 #                    # STING_IO_BACKEND (uring leg skips with a notice
@@ -125,9 +125,8 @@ run_shard() {
     step "shard: fleet + sharded tuple-space integration tests"
     cargo test -q -p sting-core --test fleet
     cargo test -q -p sting-tuple --test sharded
-    step "shard: 2-shard farm smoke + merged trace audit (shard_smoke)"
-    cargo build --release -p sting-bench --bin shard_smoke
-    ./target/release/shard_smoke
+    step "shard: traced 2-shard farm, merged trace audit (sting-bench shard_audit)"
+    cargo test -q -p sting-bench --test shard_audit
 }
 
 run_io() {

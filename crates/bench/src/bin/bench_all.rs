@@ -223,7 +223,7 @@ fn main() -> ExitCode {
         let limit = scale.primes_limit;
         let d = run_reps(
             reps,
-            || shapes::stealing_vm(cfg, false),
+            || shapes::stealing_vm(cfg),
             |vm| shapes::primes_futures(vm, limit, cfg.lazy, cfg.stealable),
         );
         let row = BenchRow::from_dist("shape", &format!("stealing-{}", cfg.name), "ns/run", &d);
@@ -238,9 +238,9 @@ fn main() -> ExitCode {
     );
     type PolicyVm = (&'static str, fn() -> Arc<Vm>);
     let policy_vms: [PolicyVm; 3] = [
-        ("global-fifo", || shapes::global_queue_vm(false)),
-        ("local-lifo", || shapes::local_queue_vm(false, false)),
-        ("migrating-lifo", || shapes::local_queue_vm(true, false)),
+        ("global-fifo", shapes::global_queue_vm),
+        ("local-lifo", || shapes::local_queue_vm(false)),
+        ("migrating-lifo", || shapes::local_queue_vm(true)),
     ];
     for (policy, mk) in policy_vms {
         let jobs = scale.farm_jobs;
@@ -263,7 +263,7 @@ fn main() -> ExitCode {
     for vps in [1usize, 2, 4] {
         for locked in [true, false] {
             let tier = if locked { "locked" } else { "lockfree" };
-            let vm = shapes::steal_vm(vps, locked, false);
+            let vm = shapes::steal_vm(vps, locked);
             let d = steal_throughput(&vm, reps, scale.steal_threads, scale.steal_yields);
             vm.shutdown();
             let row = BenchRow::from_dist(
@@ -289,7 +289,7 @@ fn main() -> ExitCode {
     for vps in [1usize, 2, 4] {
         for locked in [true, false] {
             let tier = if locked { "locked" } else { "deque" };
-            let vm = shapes::steal_vm_priority(vps, locked, false);
+            let vm = shapes::steal_vm_priority(vps, locked);
             let d = priority_steal_throughput(&vm, reps, scale.steal_threads, scale.steal_yields);
             vm.shutdown();
             if vps == 4 {
@@ -330,12 +330,27 @@ fn main() -> ExitCode {
     );
     for (name, shield) in [("enabled", false), ("shielded", true)] {
         let (workers, rounds) = (scale.preempt_workers, scale.preempt_rounds);
+        let d = run_reps(reps, shapes::preemption_vm, |vm| {
+            shapes::preemption_run(vm, workers, rounds, shield)
+        });
+        let row = BenchRow::from_dist("shape", &format!("preemption-{name}"), "ns/run", &d);
+        print_row(&row);
+        rows.push(row);
+    }
+
+    // --- E5: active vs passive spinning in mutexes ---
+    println!(
+        "shape: mutex-spins (4 workers x {} rounds on 1 VP)",
+        scale.mutex_rounds
+    );
+    for active in [0u32, 16, 256] {
+        let rounds = scale.mutex_rounds;
         let d = run_reps(
             reps,
-            || shapes::preemption_vm(false),
-            |vm| shapes::preemption_run(vm, workers, rounds, shield),
+            || VmBuilder::new().vps(1).build(),
+            |vm| shapes::mutex_spins_workload(vm, active, rounds),
         );
-        let row = BenchRow::from_dist("shape", &format!("preemption-{name}"), "ns/run", &d);
+        let row = BenchRow::from_dist("shape", &format!("mutex-spins-{active}"), "ns/run", &d);
         print_row(&row);
         rows.push(row);
     }
@@ -356,6 +371,20 @@ fn main() -> ExitCode {
             },
         );
         let row = BenchRow::from_dist("shape", &format!("tuple-locks-{name}"), "ns/run", &d);
+        print_row(&row);
+        rows.push(row);
+    }
+
+    // --- E3: representation specialization ---
+    println!(
+        "shape: tuple-reps ({} put/get round trips)",
+        scale.tuple_rep_ops
+    );
+    for (name, kind) in shapes::TUPLE_REPS {
+        let vm = VmBuilder::new().vps(1).build();
+        let d = shapes::tuple_rep_round_trips(&vm, kind, scale.tuple_rep_ops);
+        vm.shutdown();
+        let row = BenchRow::from_dist("shape", &format!("tuple-reps-{name}"), "ns/op", &d);
         print_row(&row);
         rows.push(row);
     }
@@ -415,18 +444,7 @@ fn main() -> ExitCode {
         let ts = ShardedSpace::new(&fleet);
         shapes::shard_farm_workload(&fleet, &ts, scale.shard_jobs, 16);
         let report = fleet.trace_audit();
-        let bad = report
-            .findings
-            .iter()
-            .filter(|f| {
-                matches!(
-                    f.kind,
-                    sting::core::audit::FindingKind::WaiterLeak
-                        | sting::core::audit::FindingKind::LostWakeup
-                        | sting::core::audit::FindingKind::WakeAfterCancel
-                )
-            })
-            .count();
+        let bad = shapes::wake_findings(&report).len();
         checks.push(Check {
             name: format!("shard:merged-audit-clean@{top}shard"),
             pass: bad == 0,

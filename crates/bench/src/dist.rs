@@ -132,18 +132,6 @@ fn plan_batches(iters: u64) -> (u64, u64, u64) {
     (warmup, batches, per_batch)
 }
 
-/// Runs `f` `reps` times, timing each run; returns the distribution of
-/// whole-run durations in nanoseconds.
-pub fn time_runs(reps: u64, mut f: impl FnMut()) -> Dist {
-    let mut samples = Vec::with_capacity(reps as usize);
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        f();
-        samples.push(start.elapsed().as_nanos() as f64);
-    }
-    Dist::from_samples(samples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

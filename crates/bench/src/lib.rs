@@ -1,5 +1,5 @@
-//! Shared measurement helpers for the Figure 6 harness and the shape
-//! experiments.
+//! Shared measurement helpers behind `bench_all`, the one front-end for
+//! the Figure 6 harness and the shape experiments.
 //!
 //! The paper's baseline timings (Figure 6) were taken on an 8-processor
 //! Silicon Graphics MIPS R3000 (~25 MHz) with a single LIFO queue; ours
@@ -16,7 +16,7 @@ pub mod report;
 pub mod server;
 pub mod shapes;
 
-pub use dist::{time_per_iter, time_runs, Dist};
+pub use dist::{time_per_iter, Dist};
 
 /// The paper's Figure 6, verbatim (microseconds on the 1992 testbed).
 pub const PAPER_FIGURE6: &[(&str, f64)] = &[
@@ -41,42 +41,6 @@ pub fn figure6_vm() -> Arc<Vm> {
         .policy(|_| policies::local_lifo().boxed())
         .name("figure6")
         .build()
-}
-
-/// Directory where shape experiments drop their flight-recorder
-/// artifacts: `$STING_TRACE_DIR` when set, else `target/traces`.
-pub fn trace_dir() -> std::path::PathBuf {
-    std::env::var_os("STING_TRACE_DIR")
-        .map(Into::into)
-        .unwrap_or_else(|| std::path::PathBuf::from("target/traces"))
-}
-
-/// Writes `vm`'s flight-recorder contents as chrome://tracing JSON under
-/// [`trace_dir`], named `<experiment>-<config>.json`.  Call after the
-/// workload and before `vm.shutdown()`; load the file via chrome://tracing
-/// or <https://ui.perfetto.dev>.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from creating the directory or writing.
-pub fn export_trace(
-    vm: &Arc<Vm>,
-    experiment: &str,
-    config: &str,
-) -> std::io::Result<std::path::PathBuf> {
-    let dir = trace_dir();
-    std::fs::create_dir_all(&dir)?;
-    let mut slug = String::new();
-    for c in config.trim().chars() {
-        if c.is_ascii_alphanumeric() {
-            slug.push(c.to_ascii_lowercase());
-        } else if !slug.ends_with('-') {
-            slug.push('-');
-        }
-    }
-    let path = dir.join(format!("{experiment}-{}.json", slug.trim_matches('-')));
-    std::fs::write(&path, vm.trace_export())?;
-    Ok(path)
 }
 
 /// Runs `f` on a STING thread of `vm` and returns its result.

@@ -1,13 +1,12 @@
-//! Shared workloads behind the shape-experiment binaries and `bench_all`.
+//! The shape-experiment workloads `bench_all` runs.
 //!
-//! Each shape experiment used to live entirely inside its binary; the
-//! workloads now live here so the unified runner (`bench_all`) and the
-//! individual `shape_*` binaries measure exactly the same code, and so the
-//! smoke tier can shrink iteration counts without forking the logic.
+//! Each workload is a plain function over a VM or fleet, so the smoke tier
+//! can shrink iteration counts without forking the logic.
 
 use std::sync::Arc;
 use std::time::Duration;
 use sting::areas::{Heap, HeapConfig, Val as AreaVal, Word};
+use sting::core::audit::{AuditReport, Finding, FindingKind};
 use sting::core::policies::{self, GlobalQueue, QueueOrder};
 use sting::core::PolicyManager;
 use sting::prelude::*;
@@ -39,6 +38,10 @@ pub struct Scale {
     pub tuple_keys: i64,
     /// E3 rounds per worker.
     pub tuple_rounds: i64,
+    /// E3 put/get round trips per representation row.
+    pub tuple_rep_ops: u64,
+    /// E5 lock/unlock rounds per contending worker.
+    pub mutex_rounds: usize,
     /// Minor collections timed for the GC pause row.
     pub gc_collections: u64,
     /// Cons cells allocated for the GC churn row.
@@ -50,7 +53,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// The full-run scale (matches the standalone binaries' defaults).
+    /// The full-run scale.
     pub fn full() -> Scale {
         Scale {
             figure6_iters: 20_000,
@@ -64,6 +67,8 @@ impl Scale {
             preempt_rounds: 150,
             tuple_keys: 256,
             tuple_rounds: 20,
+            tuple_rep_ops: 100_000,
+            mutex_rounds: 200,
             gc_collections: 2_000,
             gc_conses: 2_000_000,
             shard_jobs: 2_000,
@@ -85,6 +90,8 @@ impl Scale {
             preempt_rounds: 10,
             tuple_keys: 64,
             tuple_rounds: 3,
+            tuple_rep_ops: 10_000,
+            mutex_rounds: 50,
             gc_collections: 200,
             gc_conses: 100_000,
             shard_jobs: 400,
@@ -190,7 +197,7 @@ pub const STEALING_CONFIGS: &[StealingConfig] = &[
 ];
 
 /// Builds the VM for one E1 configuration.
-pub fn stealing_vm(cfg: &StealingConfig, trace: bool) -> Arc<Vm> {
+pub fn stealing_vm(cfg: &StealingConfig) -> Arc<Vm> {
     let StealingConfig { lifo, vps, .. } = *cfg;
     let migrating = vps > 1;
     VmBuilder::new()
@@ -203,7 +210,6 @@ pub fn stealing_vm(cfg: &StealingConfig, trace: bool) -> Arc<Vm> {
                 policies::local_fifo().migrating(migrating).boxed()
             }
         })
-        .trace(trace)
         .build()
 }
 
@@ -261,21 +267,16 @@ fn tree_node(cx: &Cx, depth: u32) -> i64 {
 }
 
 /// 4-VP VM scheduled from one global FIFO queue.
-pub fn global_queue_vm(trace: bool) -> Arc<Vm> {
+pub fn global_queue_vm() -> Arc<Vm> {
     let q = GlobalQueue::shared(QueueOrder::Fifo);
-    VmBuilder::new()
-        .vps(4)
-        .policy(move |_| q.policy())
-        .trace(trace)
-        .build()
+    VmBuilder::new().vps(4).policy(move |_| q.policy()).build()
 }
 
 /// 4-VP VM with per-VP LIFO queues, optionally migrating for balance.
-pub fn local_queue_vm(migrate: bool, trace: bool) -> Arc<Vm> {
+pub fn local_queue_vm(migrate: bool) -> Arc<Vm> {
     VmBuilder::new()
         .vps(4)
         .policy(move |_| make_local(migrate))
-        .trace(trace)
         .build()
 }
 
@@ -287,7 +288,7 @@ fn make_local(migrate: bool) -> Box<dyn PolicyManager> {
 
 /// Builds the steal-throughput VM: one OS worker per VP, migrating FIFO,
 /// pinned to the locked or lock-free scheduler tier.
-pub fn steal_vm(vps: usize, locked: bool, trace: bool) -> Arc<Vm> {
+pub fn steal_vm(vps: usize, locked: bool) -> Arc<Vm> {
     VmBuilder::new()
         .vps(vps)
         // One OS worker per VP: without it a single worker drives every VP
@@ -299,7 +300,6 @@ pub fn steal_vm(vps: usize, locked: bool, trace: bool) -> Arc<Vm> {
                 .locked(locked)
                 .boxed()
         })
-        .trace(trace)
         .build()
 }
 
@@ -331,7 +331,7 @@ pub fn steal_dispatches(threads: i64, yields: i64) -> f64 {
 /// Builds the priority-policy steal-throughput VM: one OS worker per VP,
 /// migrating priority-high, pinned to the locked (heap under the policy
 /// lock) or lock-free (banded multi-level deque) scheduler tier.
-pub fn steal_vm_priority(vps: usize, locked: bool, trace: bool) -> Arc<Vm> {
+pub fn steal_vm_priority(vps: usize, locked: bool) -> Arc<Vm> {
     VmBuilder::new()
         .vps(vps)
         .processors(vps)
@@ -341,7 +341,6 @@ pub fn steal_vm_priority(vps: usize, locked: bool, trace: bool) -> Arc<Vm> {
                 .locked(locked)
                 .boxed()
         })
-        .trace(trace)
         .build()
 }
 
@@ -372,12 +371,11 @@ pub fn priority_steal_hammer(vm: &Arc<Vm>, threads: i64, yields: i64) -> i64 {
 // --- E4: preemption inside critical sections ---
 
 /// Builds the single-VP, fast-tick VM the preemption experiment uses.
-pub fn preemption_vm(trace: bool) -> Arc<Vm> {
+pub fn preemption_vm() -> Arc<Vm> {
     VmBuilder::new()
         .vps(1)
         .processors(1)
         .tick(Duration::from_micros(200))
-        .trace(trace)
         .build()
 }
 
@@ -450,6 +448,54 @@ pub fn tuple_locks_workload(vm: &Arc<Vm>, ts: &TupleSpace, keys: i64, rounds: i6
     }
 }
 
+/// The E3 representation sweep: the general hashed space beside the
+/// specializations for queue-, bag- and variable-shaped use.
+pub const TUPLE_REPS: [(&str, SpaceKind); 4] = [
+    ("hashed", SpaceKind::Hashed { buckets: 64 }),
+    ("queue", SpaceKind::Queue),
+    ("bag", SpaceKind::Bag),
+    ("shared-var", SpaceKind::SharedVar),
+];
+
+/// Times `ops` put-then-get round trips of a singleton tuple through a
+/// fresh space of `kind`, on a STING thread of `vm`; returns ns per round
+/// trip.
+pub fn tuple_rep_round_trips(vm: &Arc<Vm>, kind: SpaceKind, ops: u64) -> Dist {
+    crate::on_thread(vm, move |_cx| {
+        let ts = TupleSpace::with_kind(kind);
+        let mut i = 0i64;
+        crate::dist::time_per_iter(ops, || {
+            ts.put(vec![Value::Int(i)]);
+            let _ = ts.get(&Template::any(1));
+            i += 1;
+        })
+    })
+}
+
+// --- E5: active vs passive spinning in mutexes ---
+
+/// Four workers contend for one mutex that spins actively `active` times
+/// and passively twice before blocking; each takes it `rounds` times with
+/// an empty critical section, so the row measures the acquire path alone.
+pub fn mutex_spins_workload(vm: &Arc<Vm>, active: u32, rounds: usize) {
+    let m = Mutex::new(active, 2);
+    let ts: Vec<_> = (0..4)
+        .map(|_| {
+            let m = m.clone();
+            vm.fork(move |cx| {
+                for _ in 0..rounds {
+                    m.with(|| {});
+                    cx.checkpoint();
+                }
+                0i64
+            })
+        })
+        .collect();
+    for t in ts {
+        t.join_blocking().unwrap();
+    }
+}
+
 // --- E7: sharded fleets over the partitioned tuple-space fabric ---
 
 /// Builds a fleet of `shards` shards holding the *total* VP count fixed
@@ -468,6 +514,22 @@ pub fn shard_fleet(shards: usize, total_vps: usize, trace: bool) -> Fleet {
         b = b.trace_capacity(1 << 16);
     }
     b.build()
+}
+
+/// The findings of a (merged) trace audit that mean a wake or waiter bug:
+/// a lost wake-up, a leaked waiter, or a wake delivered after its episode
+/// was cancelled.
+pub fn wake_findings(report: &AuditReport) -> Vec<&Finding> {
+    report
+        .findings
+        .iter()
+        .filter(|f| {
+            matches!(
+                f.kind,
+                FindingKind::WaiterLeak | FindingKind::LostWakeup | FindingKind::WakeAfterCancel
+            )
+        })
+        .collect()
 }
 
 /// Two keys per shard — a job key and an ack key — whose arity-2 tuples

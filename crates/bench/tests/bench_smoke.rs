@@ -65,6 +65,13 @@ fn smoke_run_emits_schema_valid_report_with_sane_shape() {
         ("shape", "steal-throughput-2vp-lockfree"),
         ("shape", "preemption-shielded"),
         ("shape", "tuple-locks-per-bucket"),
+        ("shape", "tuple-reps-hashed"),
+        ("shape", "tuple-reps-queue"),
+        ("shape", "tuple-reps-bag"),
+        ("shape", "tuple-reps-shared-var"),
+        ("shape", "mutex-spins-0"),
+        ("shape", "mutex-spins-16"),
+        ("shape", "mutex-spins-256"),
         ("gc", "minor-pause-64k-nursery"),
         ("gc", "alloc-churn-16k-nursery"),
         ("overhead", "steal-throughput-metrics-on"),

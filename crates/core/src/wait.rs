@@ -530,7 +530,10 @@ impl Waiter {
         matches!(self.node.state.finish(self.gen), Finish::Claimed)
     }
 
-    fn same_episode(&self, other: &Waiter) -> bool {
+    /// Whether `other` is a handle to the same wait episode (same node,
+    /// same generation) — how a structure that registers one episode in
+    /// several places counts it once.
+    pub fn same_episode(&self, other: &Waiter) -> bool {
         Arc::ptr_eq(&self.node, &other.node) && self.gen == other.gen
     }
 

@@ -38,7 +38,7 @@ fn clean_synthetic_lifecycle_has_no_findings() {
 }
 
 /// A seeded double dispatch — two `Dispatch` events with no intervening
-/// `Switch` — must be flagged (acceptance criterion for `Vm::trace_audit`).
+/// `Switch` — must be flagged (acceptance test for `Vm::trace_audit`).
 #[test]
 fn seeded_double_dispatch_is_flagged() {
     let events = [
@@ -137,7 +137,7 @@ fn unforked_threads_are_exempt_from_absence_checks() {
     assert!(audit(&events, false).is_clean());
 }
 
-/// Acceptance criterion: a real 4-VP steal-heavy run audits clean.  This
+/// Acceptance test: a real 4-VP steal-heavy run audits clean.  This
 /// is the same shape as the migration stress in `tests/deque.rs` — work
 /// forked onto one VP, spread by lock-free steals — plus blocking traffic
 /// (`wait`) so enqueue/dispatch/switch/unblock all appear in the stream.

@@ -54,7 +54,7 @@ fn fabric_call_runs_on_destination_shard() {
 
 /// Work forked onto one shard spreads to the idle sibling via the
 /// mailbox handoff protocol, thread ids stay fleet-unique, and the
-/// merged fleet-wide replay audits clean (acceptance criterion).
+/// merged fleet-wide replay audits clean (acceptance test).
 #[test]
 fn two_shard_fleet_hands_off_work_and_audits_clean() {
     let fleet = Fleet::builder()

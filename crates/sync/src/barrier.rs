@@ -1,10 +1,10 @@
 //! A reusable rendezvous barrier for phased master/slave computations
 //! (§4.2.2's barrier-synchronization discussion).
 
-use crate::wait::{block_until_deadline, TimedOut, WaitList, Waiter};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use sting_core::wait::{block_until_deadline, TimedOut, WaitList, Waiter};
 use sting_value::Value;
 
 struct Inner {

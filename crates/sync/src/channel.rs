@@ -2,10 +2,10 @@
 //! `sync` as one of the synchronization semantics expressible on the
 //! substrate).
 
-use crate::wait::{block_until, block_until_deadline, TimedOut, WaitList, Waiter};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
+use sting_core::wait::{block_until, block_until_deadline, TimedOut, WaitList, Waiter};
 use sting_value::Value;
 
 struct Inner {

@@ -7,11 +7,11 @@
 //! watched thread.  `wait-for-one` is `count = 1` (OR-parallelism);
 //! `wait-for-all` is `count = n` (AND-parallelism / barrier).
 
-use crate::wait::{TimedOut, Waiter, WakeReason};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sting_core::tc;
 use sting_core::thread::{JoinNode, Thread, ThreadResult};
+use sting_core::wait::{TimedOut, Waiter, WakeReason};
 use sting_value::Value;
 
 /// Blocks the calling thread until at least `count` of `threads` have

@@ -1,9 +1,9 @@
 //! Single-assignment cells (I-structures, the paper's dataflow
 //! synchronization class — reference [3], Arvind et al.).
 
-use crate::wait::{block_until, block_until_deadline, TimedOut, WaitList, Waiter};
 use parking_lot::Mutex;
 use std::sync::Arc;
+use sting_core::wait::{block_until, block_until_deadline, TimedOut, WaitList, Waiter};
 use sting_value::Value;
 
 struct Inner {

@@ -15,6 +15,12 @@
 //!   speculative (OR-parallel) and barrier (AND-parallel) synchronization
 //!   (§4.3, Figure 5).
 //! * [`Barrier`] — a cyclic barrier for phased master/slave programs.
+//!
+//! Every structure blocks through the substrate's wait protocol
+//! ([`sting_core::wait`]: generation-tagged wait episodes, consumed
+//! exactly once, each park able to carry a deadline), re-exported here as
+//! [`Waiter`], [`WaitList`], [`block_until`] and friends.  See DESIGN.md,
+//! "Blocking protocol".
 
 #![deny(missing_docs)]
 
@@ -26,7 +32,6 @@ mod ivar;
 mod mutex;
 mod semaphore;
 mod stream;
-pub mod wait;
 
 pub use barrier::Barrier;
 pub use channel::{Channel, SendChannelError};
@@ -35,5 +40,7 @@ pub use group::{block_on_group, block_on_group_timeout, race, wait_for_all, wait
 pub use ivar::{IVar, WriteIVarError};
 pub use mutex::{Mutex, MutexGuard};
 pub use semaphore::Semaphore;
+pub use sting_core::wait::{
+    block_until, block_until_deadline, TimedOut, WaitList, Waiter, WakeReason,
+};
 pub use stream::{Stream, StreamCursor};
-pub use wait::{block_until, block_until_deadline, TimedOut, WaitList, Waiter, WakeReason};

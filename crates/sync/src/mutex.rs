@@ -10,12 +10,12 @@
 //! [`Mutex::with`] is the paper's `with-mutex`: the lock is released even
 //! if the body raises, via an RAII [`MutexGuard`].
 
-use crate::wait::{block_until_deadline, TimedOut, WaitList, Waiter};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sting_core::tc;
 use sting_core::trace::EventKind;
+use sting_core::wait::{block_until_deadline, TimedOut, WaitList, Waiter};
 use sting_value::Value;
 
 /// Process-wide mutex id source; ids appear as the payload of

@@ -1,10 +1,10 @@
 //! Counting semaphores (one of the paper's tuple-space specializations,
 //! exposed directly).
 
-use crate::wait::{block_until, block_until_deadline, TimedOut, WaitList, Waiter};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use sting_core::wait::{block_until, block_until_deadline, TimedOut, WaitList, Waiter};
 use sting_value::Value;
 
 struct Inner {

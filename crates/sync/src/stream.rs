@@ -36,9 +36,9 @@
 //! vm.shutdown();
 //! ```
 
-use crate::wait::{block_until, block_until_deadline, TimedOut, WaitList, Waiter};
 use parking_lot::Mutex;
 use std::sync::Arc;
+use sting_core::wait::{block_until, block_until_deadline, TimedOut, WaitList, Waiter};
 use sting_value::Value;
 
 struct Inner {

@@ -217,21 +217,19 @@ impl SpaceRep for HashedRep {
     }
 
     fn waiting(&self) -> usize {
-        self.buckets
-            .iter()
-            .map(|b| {
-                b.lock()
-                    .blocked
-                    .iter()
-                    .filter(|bl| bl.waiter.is_live())
-                    .count()
-            })
-            .sum::<usize>()
-            + self
-                .wild
-                .lock()
-                .iter()
-                .filter(|bl| bl.waiter.is_live())
-                .count()
+        // A literal-keyed reader is registered in both bins of
+        // `buckets_of_template`, so count distinct live episodes, not
+        // registrations.
+        let mut live: Vec<Waiter> = Vec::new();
+        let mut note = |bl: &Blocked| {
+            if bl.waiter.is_live() && !live.iter().any(|w| w.same_episode(&bl.waiter)) {
+                live.push(bl.waiter.clone());
+            }
+        };
+        for b in &self.buckets {
+            b.lock().blocked.iter().for_each(&mut note);
+        }
+        self.wild.lock().iter().for_each(&mut note);
+        live.len()
     }
 }

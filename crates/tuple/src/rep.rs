@@ -70,8 +70,7 @@ pub trait SpaceRep: Send + Sync {
     fn rewake_one(&self);
 
     /// Number of live blocked readers (cancelled and woken episodes do
-    /// not count; representations that register a reader in more than one
-    /// bin may count it more than once).
+    /// not count; a reader registered in more than one bin counts once).
     fn waiting(&self) -> usize;
 }
 

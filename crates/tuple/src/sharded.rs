@@ -136,8 +136,8 @@ impl ShardedSpace {
         self.inner.partitions[index].len()
     }
 
-    /// Live readers blocked across all partitions (a reader may count
-    /// once per partition it registered in — see [`TupleSpace::blocked`]).
+    /// Live readers blocked across all partitions (a reader registered in
+    /// several partitions counts once per partition).
     pub fn blocked(&self) -> usize {
         self.inner.partitions.iter().map(|p| p.blocked()).sum()
     }

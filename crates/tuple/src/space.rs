@@ -195,8 +195,7 @@ impl TupleSpace {
     }
 
     /// Number of live readers blocked on the local space (parents not
-    /// counted; the hashed representation may count a reader once per bin
-    /// it registered in).
+    /// counted).
     pub fn blocked(&self) -> usize {
         self.inner.rep.waiting()
     }

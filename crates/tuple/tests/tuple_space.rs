@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use sting_core::{tc, VmBuilder};
+use sting_core::{tc, ThreadState, VmBuilder};
 use sting_tuple::{formal, lit, SpaceKind, Template, TupleSpace};
 use sting_value::Value;
 
@@ -57,6 +57,35 @@ fn get_blocks_until_put() {
     assert!(!getter.is_determined(), "get must block on empty space");
     ts.put(job(42));
     assert_eq!(getter.join_blocking(), Ok(Value::Int(42)));
+    vm.shutdown();
+}
+
+/// A `[lit k, ?x]` reader registers in two hash bins (its literal bin and
+/// the arity bin), but `blocked()` counts readers, not registrations.
+#[test]
+fn blocked_counts_each_literal_keyed_reader_once() {
+    let vm = VmBuilder::new().vps(1).build();
+    let ts = TupleSpace::new();
+    let getters: Vec<_> = (0..8i64)
+        .map(|k| {
+            let ts = ts.clone();
+            vm.fork(move |_cx| ts.get(&Template::new(vec![lit(k), formal()]))[0].clone())
+        })
+        .collect();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !getters.iter().all(|t| t.state() == ThreadState::Blocked) {
+        assert!(std::time::Instant::now() < deadline, "getters never parked");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(ts.blocked(), 8, "one count per parked reader");
+    for k in 0..8i64 {
+        ts.put(vec![Value::Int(k), Value::Int(k * 10)]);
+    }
+    for (k, t) in getters.iter().enumerate() {
+        assert_eq!(t.join_blocking(), Ok(Value::Int(k as i64 * 10)));
+    }
+    assert_eq!(ts.blocked(), 0, "woken readers still counted");
+    assert!(ts.is_empty());
     vm.shutdown();
 }
 
